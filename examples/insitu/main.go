@@ -2,14 +2,18 @@
 // run their own "simulation" (a protein-folding trajectory with different
 // starting conditions), analyze frames in-situ with streaming KeyBin2, and
 // periodically consolidate — exchanging only histograms and key sketches,
-// never frames. After each sync every rank holds the same global model of
-// the conformational space all simulations explored together, and a
-// checkpoint of that model is serialized for late-joining workers.
+// never frames. Each sync is the shard router's merge run as an MPI
+// collective: every rank's cumulative shard state is folded by Allreduce
+// and installed into that rank's GlobalModelState, so every rank holds the
+// same global model of the conformational space all simulations explored
+// together. A checkpoint of that model is serialized for late-joining
+// workers.
 //
 //	go run ./examples/insitu
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -45,14 +49,19 @@ func main() {
 		}
 		feats := tr.Features()
 
-		st, err := core.NewStream(core.StreamConfig{
+		cfg := core.StreamConfig{
 			Config: core.Config{Seed: 7, Trials: 3},
 			Dims:   residues,
 			// Secondary-structure codes live in [0, 5]; fixed ranges mean
 			// no warmup and congruent histograms across ranks.
 			RawRanges: ssRanges(residues),
-			Period:    1 << 30, // refits happen at sync points only
-		})
+			Period:    1 << 30, // the local stream never refits; the global model does
+		}
+		st, err := core.NewStream(cfg)
+		if err != nil {
+			return report{}, err
+		}
+		g, err := core.NewGlobalModelState(cfg)
 		if err != nil {
 			return report{}, err
 		}
@@ -64,20 +73,21 @@ func main() {
 			// Periodic consolidation: the in-situ analysis keeps up with
 			// the simulation, and all ranks converge on one global model.
 			if (i+1)%syncEvry == 0 {
-				if err := st.SyncDistributed(c); err != nil {
+				m, err := g.Sync(c, st)
+				if err != nil {
 					return report{}, err
 				}
 				if c.Rank() == 0 {
 					fmt.Printf("[sync @ frame %4d] global model: %d conformational clusters over %d frames from %d simulations\n",
-						i+1, st.Model().K(), st.Seen(), c.Size())
+						i+1, m.K(), g.Seen(), c.Size())
 				}
 			}
 		}
 		return report{
 			rank:     c.Rank(),
-			clusters: st.Model().K(),
+			clusters: g.Model().K(),
 			traffic:  c.Stats().Bytes(),
-			snapshot: st.Model().Encode(),
+			snapshot: g.Model().Encode(),
 		}, nil
 	})
 	if err != nil {
@@ -88,6 +98,9 @@ func main() {
 	for _, r := range reports {
 		fmt.Printf("rank %d: %d clusters, %d KiB sent total (raw frames would have been %d KiB/rank)\n",
 			r.rank, r.clusters, r.traffic/1024, int64(frames)*int64(residues)*8/1024)
+		if !bytes.Equal(r.snapshot, reports[0].snapshot) {
+			log.Fatalf("rank %d holds a different global model than rank 0", r.rank)
+		}
 	}
 
 	// A late-joining worker receives the serialized model and labels fresh

@@ -79,15 +79,15 @@ func main() {
 	if err := st.Refit(); err != nil {
 		log.Fatal(err)
 	}
-	m := st.Model()
+	m := st.Snapshot()
 	fmt.Printf("final model: %d clusters (decay faded the drifted-away regime), projection trial %d, histogram-CH %.1f\n",
 		m.K(), m.Trial, m.Assessment.CH)
 	fmt.Printf("total ingested: %d points; histogram memory is independent of that count\n", st.Seen())
 }
 
 func modelK(st *core.Stream) int {
-	if st.Model() == nil {
+	if st.Snapshot() == nil {
 		return 0
 	}
-	return st.Model().K()
+	return st.Snapshot().K()
 }

@@ -151,7 +151,7 @@ func DecodeModel(b []byte) (*Model, error) {
 	m := &Model{}
 	if r.u8() == 1 {
 		rows, cols := int(r.u32()), int(r.u32())
-		if rows < 0 || cols < 0 || rows*cols > 1<<28 {
+		if rows > 1<<28 || cols > 1<<28 || rows*cols > 1<<28 {
 			return nil, fmt.Errorf("core: absurd projection shape %dx%d", rows, cols)
 		}
 		if !r.need(8 * rows * cols) {

@@ -280,8 +280,8 @@ func combineFramedTuples(acc, in []byte) ([]byte, error) {
 // String-keyed tuple map wire format: [nentries:u32] then per entry
 // [keylen:u32][key bytes][mass:u64]. Entries are written in sorted key
 // order so equal maps encode identically. The distributed fit wraps this
-// (or the packed-uint64 form) behind a tag byte via encodeTupleCounts; the
-// streaming sync path uses it directly for its packed-keys.Key sketches.
+// (or the packed-uint64 form) behind a tag byte via encodeTupleCounts, for
+// segment tuples too wide to pack into a uint64.
 func encodeTuples(m map[string]uint64) []byte {
 	keys := make([]string, 0, len(m))
 	for k := range m {

@@ -161,7 +161,7 @@ func TestStreamDecayForgetsOldRegime(t *testing.T) {
 		if err := st.Refit(); err != nil {
 			t.Fatal(err)
 		}
-		return st.Model().K()
+		return st.Snapshot().K()
 	}
 
 	noDecay := run(0)

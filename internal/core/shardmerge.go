@@ -2,10 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"keybin2/internal/histogram"
-	"keybin2/internal/keys"
+	"keybin2/internal/mpi"
 )
 
 // Shard-state exchange: the serving-layer form of the paper's
@@ -17,7 +16,8 @@ import (
 // MergeShardStates and derives one global model from the sum with
 // GlobalModelState; the encoded model (which carries its stabilized
 // labels on the wire) is then installed on every shard, so the whole
-// cluster labels identically.
+// cluster labels identically. GlobalModelState.Sync runs the same steps as
+// an MPI Allreduce for in-situ ranks.
 //
 // The exchange is cumulative, not delta-based: every epoch each shard
 // re-publishes its full local contribution. That costs a little bandwidth
@@ -30,25 +30,27 @@ import (
 // ShardState wire format (little endian):
 //
 //	magic "KB2H" | version u32 | trials u32 | seen u64
-//	per trial:
+//	per trial: the checkpoint's per-trial section (appendTrialState) —
 //	  setLen u32 | histogram.Set.Encode bytes
-//	  tupLen u32 | encodeTuples bytes (packed keys.Key → integer mass,
-//	               sorted by key so equal states encode identically)
+//	  nkeys u32, per key: width u32 | key u32×width | mass f64
+//	  (keys sorted, so equal states encode identically)
+//
+// Version 2 carries f64 masses; they stay exact because shard mode has no
+// decay and every ingested point adds mass 1. The state is exchanged live
+// and never persisted, so version 1 is simply refused.
 
 const shardStateMagic = "KB2H"
-const shardStateVersion = 1
+const shardStateVersion = 2
 
 // EncodeShardState packages this stream's cumulative local contribution
 // for the cross-shard merge: per trial, the full histogram set and the
-// coarse key sketch (masses rounded to integers — exact, since shard mode
-// excludes decay and every ingested point contributes mass 1).
+// coarse key sketch.
 //
 // Writer-goroutine only, like Ingest/Refit: it reads the live histograms.
 // It fails before warmup completes (serve shards with predetermined
 // RawRanges so there is no warmup buffer and shard histograms are
-// congruent by construction), when DecayFactor is active (forgetting
-// cannot be coordinated across shards), or on a stream already entangled
-// with the MPI-side SyncDistributed delta protocol.
+// congruent by construction) and when DecayFactor is active (forgetting
+// cannot be coordinated across shards).
 func (s *Stream) EncodeShardState() ([]byte, error) {
 	if s.sets == nil {
 		return nil, fmt.Errorf("core: shard state before warmup completed")
@@ -56,40 +58,14 @@ func (s *Stream) EncodeShardState() ([]byte, error) {
 	if f := s.cfg.DecayFactor; f > 0 && f < 1 {
 		return nil, fmt.Errorf("core: shard state is incompatible with DecayFactor")
 	}
-	if s.syncedSets != nil {
-		return nil, fmt.Errorf("core: shard state on a SyncDistributed stream is not supported")
-	}
-	w := &wireWriter{}
-	w.buf = append(w.buf, shardStateMagic...)
-	w.u32(shardStateVersion)
-	w.u32(uint32(len(s.sets)))
-	w.u64(uint64(s.seen))
-	for t, set := range s.sets {
-		enc := set.Encode()
-		w.u32(uint32(len(enc)))
-		w.buf = append(w.buf, enc...)
-		fmass := make(map[string]float64)
-		s.sketch[t].each(func(k keys.Key, n float64) {
-			fmass[k.Pack()] += n
-		})
-		tuples := make(map[string]uint64, len(fmass))
-		for k, n := range fmass {
-			if r := uint64(math.Round(n)); r > 0 {
-				tuples[k] = r
-			}
-		}
-		tenc := encodeTuples(tuples)
-		w.u32(uint32(len(tenc)))
-		w.buf = append(w.buf, tenc...)
-	}
-	return w.buf, nil
+	return encodeShardState(&shardState{seen: uint64(s.seen), sets: s.sets, sketch: s.sketch}), nil
 }
 
 // shardState is a decoded ShardState payload.
 type shardState struct {
 	seen   uint64
 	sets   []*histogram.Set
-	tuples []map[string]uint64
+	sketch []*trialSketch
 }
 
 func decodeShardState(b []byte) (*shardState, error) {
@@ -107,29 +83,14 @@ func decodeShardState(b []byte) (*shardState, error) {
 	st := &shardState{
 		seen:   r.u64(),
 		sets:   make([]*histogram.Set, trials),
-		tuples: make([]map[string]uint64, trials),
+		sketch: make([]*trialSketch, trials),
 	}
 	for t := 0; t < trials; t++ {
-		slen := int(r.u32())
-		if !r.need(slen) {
-			return nil, fmt.Errorf("core: truncated shard state (trial %d set)", t)
-		}
-		set, err := histogram.DecodeSet(r.buf[r.off : r.off+slen])
+		set, sk, err := readTrialState(r)
 		if err != nil {
 			return nil, fmt.Errorf("core: shard state trial %d: %w", t, err)
 		}
-		r.off += slen
-		st.sets[t] = set
-		tlen := int(r.u32())
-		if !r.need(tlen) {
-			return nil, fmt.Errorf("core: truncated shard state (trial %d tuples)", t)
-		}
-		tuples, err := decodeTuples(r.buf[r.off : r.off+tlen])
-		if err != nil {
-			return nil, fmt.Errorf("core: shard state trial %d: %w", t, err)
-		}
-		r.off += tlen
-		st.tuples[t] = tuples
+		st.sets[t], st.sketch[t] = set, sk
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -140,10 +101,10 @@ func decodeShardState(b []byte) (*shardState, error) {
 	return st, nil
 }
 
-// encodeShardState re-serializes a decoded (or merged) state. Because
-// histogram sets encode positionally and tuple maps encode in sorted key
-// order, equal states produce identical bytes — which is what makes the
-// merge's output independent of shard order.
+// encodeShardState serializes a live, decoded, or merged state. Because
+// histogram sets encode positionally and sketches in sorted key order,
+// equal states produce identical bytes — which is what makes the merge's
+// output independent of shard order.
 func encodeShardState(st *shardState) []byte {
 	w := &wireWriter{}
 	w.buf = append(w.buf, shardStateMagic...)
@@ -151,23 +112,19 @@ func encodeShardState(st *shardState) []byte {
 	w.u32(uint32(len(st.sets)))
 	w.u64(st.seen)
 	for t, set := range st.sets {
-		enc := set.Encode()
-		w.u32(uint32(len(enc)))
-		w.buf = append(w.buf, enc...)
-		tenc := encodeTuples(st.tuples[t])
-		w.u32(uint32(len(tenc)))
-		w.buf = append(w.buf, tenc...)
+		appendTrialState(w, set, st.sketch[t])
 	}
 	return w.buf
 }
 
 // MergeShardStates folds K encoded shard states into one: per trial,
-// bin-wise histogram sums and tuple-mass sums. The merge is commutative
-// and associative — integer additions in any grouping — and the encoding
-// is canonical (sorted tuples), so any permutation or parenthesization of
-// the same states yields byte-identical output. Congruence (same trial
-// count, dimensions, depth, and ranges — guaranteed when every shard runs
-// the identical StreamConfig) is validated and mismatches are errors.
+// bin-wise histogram sums and key-mass sums. The merge is commutative
+// and associative — sums of integer-valued masses, exact in any grouping
+// — and the encoding is canonical (sorted keys), so any permutation or
+// parenthesization of the same states yields byte-identical output.
+// Congruence (same trial count, dimensions, depth, and ranges — guaranteed
+// when every shard runs the identical StreamConfig) is validated and
+// mismatches are errors.
 func MergeShardStates(states ...[]byte) ([]byte, error) {
 	if len(states) == 0 {
 		return nil, fmt.Errorf("core: merge of zero shard states")
@@ -188,25 +145,11 @@ func MergeShardStates(states ...[]byte) ([]byte, error) {
 			if err := acc.sets[t].Merge(st.sets[t]); err != nil {
 				return nil, fmt.Errorf("core: shard state %d trial %d: %w", i+1, t, err)
 			}
-			for k, n := range st.tuples[t] {
-				acc.tuples[t][k] += n
-			}
+			acc.sketch[t].merge(st.sketch[t])
 		}
 		acc.seen += st.seen
 	}
 	return encodeShardState(acc), nil
-}
-
-// ShardStateSeen reports the point count carried in an encoded shard
-// state without decoding the histogram payload — coordinator logging and
-// metrics.
-func ShardStateSeen(b []byte) (uint64, error) {
-	if len(b) < 20 || string(b[:4]) != shardStateMagic {
-		return 0, fmt.Errorf("core: not a shard state (missing %q header)", shardStateMagic)
-	}
-	r := &wireReader{buf: b, off: 8} // past magic + version
-	r.u32()                          // trials
-	return r.u64(), r.err
 }
 
 // GlobalModelState is the cross-shard label-stabilization authority: one
@@ -258,31 +201,38 @@ func (g *GlobalModelState) Install(merged []byte) (*Model, error) {
 	if len(st.sets) != len(g.s.sets) {
 		return nil, fmt.Errorf("core: merged state has %d trials, config %d", len(st.sets), len(g.s.sets))
 	}
-	for t := range st.sets {
-		if len(st.sets[t].Dims) != len(g.s.sets[t].Dims) {
-			return nil, fmt.Errorf("core: merged state trial %d has %d dims, config %d",
-				t, len(st.sets[t].Dims), len(g.s.sets[t].Dims))
+	for t, set := range st.sets {
+		if err := g.s.checkTrialSet(t, set); err != nil {
+			return nil, fmt.Errorf("core: merged state trial %d: %w", t, err)
 		}
-		sk := newTrialSketch(len(st.sets[t].Dims))
-		for ks, n := range st.tuples[t] {
-			k, err := keys.Unpack(ks)
-			if err != nil {
-				return nil, fmt.Errorf("core: merged state trial %d: %w", t, err)
-			}
-			if len(k) != len(st.sets[t].Dims) {
-				return nil, fmt.Errorf("core: merged state trial %d key width %d for %d dims",
-					t, len(k), len(st.sets[t].Dims))
-			}
-			sk.add(k, float64(n))
-		}
-		g.s.sets[t] = st.sets[t]
-		g.s.sketch[t] = sk
 	}
+	g.s.sets, g.s.sketch = st.sets, st.sketch
 	g.s.seen = int(g.s.sets[0].Total())
 	if err := g.s.Refit(); err != nil {
 		return nil, err
 	}
 	return g.s.Snapshot(), nil
+}
+
+// Sync is the merge collective over MPI: every rank contributes its local
+// stream's shard state, the states are folded with MergeShardStates by
+// Allreduce, and each rank installs the sum. Ranks must call it
+// collectively, each with its own GlobalModelState built from the shared
+// config; identical install histories make every rank publish the same
+// model. The local stream keeps only its own points, as a shard does, so
+// repeated syncs never double-count mass.
+func (g *GlobalModelState) Sync(comm *mpi.Comm, local *Stream) (*Model, error) {
+	state, err := local.EncodeShardState()
+	if err != nil {
+		return nil, err
+	}
+	merged, err := comm.Allreduce(state, func(acc, in []byte) ([]byte, error) {
+		return MergeShardStates(acc, in)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return g.Install(merged)
 }
 
 // Model returns the global model published by the latest Install (nil

@@ -142,12 +142,12 @@ func TestMergeShardStatesEqualsUnionStream(t *testing.T) {
 	if !bytes.Equal(merged, unionState) {
 		t.Fatal("merged shard states differ from the single-node state")
 	}
-	seen, err := ShardStateSeen(merged)
+	st, err := decodeShardState(merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seen != 3000 {
-		t.Fatalf("merged seen = %d, want 3000", seen)
+	if st.seen != 3000 {
+		t.Fatalf("merged seen = %d, want 3000", st.seen)
 	}
 }
 

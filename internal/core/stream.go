@@ -10,7 +10,6 @@ import (
 	"keybin2/internal/histogram"
 	"keybin2/internal/keys"
 	"keybin2/internal/linalg"
-	"keybin2/internal/mpi"
 	"keybin2/internal/obs"
 	"keybin2/internal/partition"
 	"keybin2/internal/projection"
@@ -153,11 +152,6 @@ type Stream struct {
 	// makes the single-writer/many-reader service pattern sound: one
 	// goroutine owns Ingest/Refit, any number may call Snapshot.
 	model atomic.Pointer[Model]
-
-	// State snapshot at the last SyncDistributed, so subsequent syncs ship
-	// only the delta (nil before the first sync).
-	syncedSets []*histogram.Set
-	syncedCtr  []map[string]float64
 }
 
 // NewStream creates a streaming clusterer. cfg.Dims must be set; all other
@@ -565,10 +559,6 @@ func (s *Stream) minClusterSize() int {
 // nil Recorder disables reporting.
 func (s *Stream) SetRecorder(r obs.Recorder) { s.rec = r }
 
-// Model returns the current model (nil before the first refit). It is an
-// alias for Snapshot and shares its concurrency contract.
-func (s *Stream) Model() *Model { return s.model.Load() }
-
 // Snapshot returns the most recently published model (nil before the first
 // refit). The returned Model is immutable: the stream never mutates a model
 // after publication, and its histograms are detached from the live ingest
@@ -602,152 +592,4 @@ func (s *Stream) SketchSize() (bins, distinctKeys int) {
 		}
 	}
 	return bins, distinctKeys
-}
-
-// SyncDistributed merges this rank's histograms and key sketches with all
-// other ranks' and refits on the consolidated state. After the call every
-// rank holds the same global model — the paper's periodic histogram
-// exchange for distributed streams. Ranks must call it collectively and at
-// the same point in their control flow.
-//
-// Only the *delta* since the previous sync is exchanged, so repeated syncs
-// neither double-count mass nor grow the payload with stream length.
-// Distributed sync is incompatible with DecayFactor: forgetting would have
-// to be coordinated across ranks, which this engine does not attempt.
-func (s *Stream) SyncDistributed(comm *mpi.Comm) error {
-	if s.sets == nil {
-		return fmt.Errorf("core: SyncDistributed before warmup completed")
-	}
-	if f := s.cfg.DecayFactor; f > 0 && f < 1 {
-		return fmt.Errorf("core: SyncDistributed is incompatible with DecayFactor")
-	}
-
-	// Package this rank's delta since the last sync.
-	var packed []byte
-	deltaCtrs := make([]map[string]float64, len(s.sets))
-	for t, set := range s.sets {
-		deltaSet := set.Clone()
-		fmass := make(map[string]float64)
-		s.sketch[t].each(func(k keys.Key, n float64) {
-			fmass[k.Pack()] += n
-		})
-		if s.syncedSets != nil {
-			for j, h := range deltaSet.Dims {
-				prev := s.syncedSets[t].Dims[j]
-				for b := range h.Counts {
-					h.Counts[b] -= prev.Counts[b]
-				}
-				h.Total -= prev.Total
-			}
-			for k, n := range s.syncedCtr[t] {
-				fmass[k] -= n
-				if fmass[k] <= 1e-9 {
-					delete(fmass, k)
-				}
-			}
-		}
-		deltaCtrs[t] = fmass
-		tuples := make(map[string]uint64, len(fmass))
-		for k, n := range fmass {
-			if r := uint64(math.Round(n)); r > 0 {
-				tuples[k] = r
-			}
-		}
-		packed = mpi.AppendBytesFrame(packed, deltaSet.Encode())
-		packed = mpi.AppendBytesFrame(packed, encodeTuples(tuples))
-	}
-
-	merged, err := comm.Allreduce(packed, combineStreamState)
-	if err != nil {
-		return err
-	}
-	frames, err := mpi.SplitBytesFrames(merged)
-	if err != nil {
-		return err
-	}
-	if len(frames) != 2*len(s.sets) {
-		return fmt.Errorf("core: %d sync frames for %d trials", len(frames), len(s.sets))
-	}
-
-	// New global state = previous global state + summed deltas. (Before
-	// the first sync the previous global state is this rank's own history
-	// minus its delta, i.e. empty — handled by starting from the synced
-	// snapshot when present, else from zero.)
-	if s.syncedSets == nil {
-		s.syncedSets = make([]*histogram.Set, len(s.sets))
-		s.syncedCtr = make([]map[string]float64, len(s.sets))
-	}
-	for t := range s.sets {
-		deltaGlobal, err := histogram.DecodeSet(frames[2*t])
-		if err != nil {
-			return err
-		}
-		tuples, err := decodeTuples(frames[2*t+1])
-		if err != nil {
-			return err
-		}
-		if s.syncedSets[t] == nil {
-			s.syncedSets[t] = deltaGlobal
-		} else if err := s.syncedSets[t].Merge(deltaGlobal); err != nil {
-			return err
-		}
-		if s.syncedCtr[t] == nil {
-			s.syncedCtr[t] = make(map[string]float64)
-		}
-		for k, n := range tuples {
-			s.syncedCtr[t][k] += float64(n)
-		}
-
-		// Adopt the new global state as the live view.
-		s.sets[t] = s.syncedSets[t].Clone()
-		sk := newTrialSketch(len(s.sets[t].Dims))
-		for ks, n := range s.syncedCtr[t] {
-			k, err := keys.Unpack(ks)
-			if err != nil {
-				return err
-			}
-			sk.add(k, n)
-		}
-		s.sketch[t] = sk
-	}
-	// Every rank now has identical state; the deterministic refit yields
-	// identical models.
-	s.seen = int(s.sets[0].Total())
-	return s.Refit()
-}
-
-// combineStreamState merges interleaved (set, tuple) frame pairs.
-func combineStreamState(acc, in []byte) ([]byte, error) {
-	a, err := mpi.SplitBytesFrames(acc)
-	if err != nil {
-		return nil, err
-	}
-	b, err := mpi.SplitBytesFrames(in)
-	if err != nil {
-		return nil, err
-	}
-	if len(a) != len(b) || len(a)%2 != 0 {
-		return nil, fmt.Errorf("core: sync frame mismatch %d vs %d", len(a), len(b))
-	}
-	var out []byte
-	for i := 0; i < len(a); i += 2 {
-		set, err := histogram.CombineEncoded(a[i], b[i])
-		if err != nil {
-			return nil, err
-		}
-		out = mpi.AppendBytesFrame(out, set)
-		ma, err := decodeTuples(a[i+1])
-		if err != nil {
-			return nil, err
-		}
-		mb, err := decodeTuples(b[i+1])
-		if err != nil {
-			return nil, err
-		}
-		for k, n := range mb {
-			ma[k] += n
-		}
-		out = mpi.AppendBytesFrame(out, encodeTuples(ma))
-	}
-	return out, nil
 }

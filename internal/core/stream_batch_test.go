@@ -11,12 +11,11 @@ import (
 	"keybin2/internal/xrand"
 )
 
-// sketchContents flattens a trial sketch into a comparable map. Checkpoint
-// bytes are not canonical (map iteration order), so state equivalence is
-// asserted on the semantic content instead.
+// sketchContents flattens a trial sketch into a comparable map, so a
+// mismatch reports the differing cell rather than differing bytes.
 func sketchContents(sk *trialSketch) map[string]float64 {
 	out := make(map[string]float64, sk.len())
-	sk.each(func(k keys.Key, n float64) { out[string(k.Pack())] = n })
+	sk.each(func(k keys.Key, n float64) { out[k.String()] = n })
 	return out
 }
 

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"keybin2/internal/histogram"
-	"keybin2/internal/keys"
 )
 
 // Stream checkpoint wire format (little endian):
@@ -15,8 +13,11 @@ import (
 //	[v2 only: metaLen u32 | meta bytes]
 //	hasModel u8 [model frame]
 //	ntrials u32, per trial:
-//	  set frame (histogram.Set.Encode, length-prefixed)
-//	  nkeys u32, per key: width u32, key u32×width, mass f64
+//	  setLen u32 | histogram.Set.Encode bytes
+//	  sketch section (stream_sketch.go: sorted keys, f64 masses)
+//
+// The per-trial section is the one the shard state (KB2H) carries too:
+// appendTrialState and readTrialState are the only codec for it.
 //
 // In-situ analyses run for days; a checkpoint restores the stream's
 // histograms, key sketches, label-continuity state, and current model so
@@ -49,9 +50,6 @@ func (s *Stream) EncodeWithMeta(meta []byte) ([]byte, error) {
 	if s.sets == nil {
 		return nil, fmt.Errorf("core: checkpoint before warmup completed")
 	}
-	if s.syncedSets != nil {
-		return nil, fmt.Errorf("core: checkpointing a distributed-synced stream is not supported")
-	}
 	w := &wireWriter{}
 	w.buf = append(w.buf, streamMagic...)
 	if len(meta) == 0 {
@@ -75,20 +73,36 @@ func (s *Stream) EncodeWithMeta(meta []byte) ([]byte, error) {
 	}
 	w.u32(uint32(len(s.sets)))
 	for t, set := range s.sets {
-		enc := set.Encode()
-		w.u32(uint32(len(enc)))
-		w.buf = append(w.buf, enc...)
-		sk := s.sketch[t]
-		w.u32(uint32(sk.len()))
-		sk.each(func(k keys.Key, n float64) {
-			w.u32(uint32(len(k)))
-			for _, b := range k {
-				w.u32(b)
-			}
-			w.f64(n)
-		})
+		appendTrialState(w, set, s.sketch[t])
 	}
 	return w.buf, nil
+}
+
+// appendTrialState writes one trial's section: the length-prefixed
+// histogram set, then its sketch section.
+func appendTrialState(w *wireWriter, set *histogram.Set, sk *trialSketch) {
+	enc := set.Encode()
+	w.u32(uint32(len(enc)))
+	w.buf = append(w.buf, enc...)
+	sk.appendTo(w)
+}
+
+// readTrialState decodes one appendTrialState section.
+func readTrialState(r *wireReader) (*histogram.Set, *trialSketch, error) {
+	slen := int(r.u32())
+	if !r.need(slen) {
+		return nil, nil, r.err
+	}
+	set, err := histogram.DecodeSet(r.buf[r.off : r.off+slen])
+	if err != nil {
+		return nil, nil, err
+	}
+	r.off += slen
+	sk, err := readTrialSketch(r, set)
+	if err != nil {
+		return nil, nil, err
+	}
+	return set, sk, nil
 }
 
 // DecodeStream restores a checkpointed stream. cfg must match the one the
@@ -149,43 +163,15 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 	if ntrials != s.cfg.Trials {
 		return nil, nil, fmt.Errorf("core: checkpoint has %d trials, config %d", ntrials, s.cfg.Trials)
 	}
-	s.sets = make([]*histogram.Set, ntrials)
-	s.sketch = make([]*trialSketch, ntrials)
 	for t := 0; t < ntrials; t++ {
-		slen := int(r.u32())
-		if !r.need(slen) {
-			return nil, nil, r.err
-		}
-		set, err := histogram.DecodeSet(r.buf[r.off : r.off+slen])
+		set, sk, err := readTrialState(r)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("core: checkpoint trial %d: %w", t, err)
 		}
-		r.off += slen
-		s.sets[t] = set
-		nkeys := int(r.u32())
-		if nkeys < 0 || nkeys > 1<<26 {
-			return nil, nil, fmt.Errorf("core: absurd key count %d", nkeys)
+		if err := s.checkTrialSet(t, set); err != nil {
+			return nil, nil, fmt.Errorf("core: checkpoint trial %d: %w", t, err)
 		}
-		sk := newTrialSketch(len(set.Dims))
-		k := make(keys.Key, len(set.Dims))
-		for i := 0; i < nkeys; i++ {
-			width := int(r.u32())
-			if width != len(set.Dims) {
-				return nil, nil, fmt.Errorf("core: checkpoint key width %d for %d dims", width, len(set.Dims))
-			}
-			for j := range k {
-				k[j] = r.u32()
-			}
-			mass := r.f64()
-			if r.err != nil {
-				return nil, nil, r.err
-			}
-			if math.IsNaN(mass) || mass < 0 {
-				return nil, nil, fmt.Errorf("core: checkpoint key mass %v", mass)
-			}
-			sk.add(k, mass)
-		}
-		s.sketch[t] = sk
+		s.sets[t], s.sketch[t] = set, sk
 	}
 	if r.err != nil {
 		return nil, nil, r.err
@@ -193,5 +179,22 @@ func DecodeStreamMeta(cfg StreamConfig, b []byte) (*Stream, []byte, error) {
 	if r.off != len(b) {
 		return nil, nil, fmt.Errorf("core: %d trailing bytes in stream checkpoint", len(b)-r.off)
 	}
+	if m := s.model.Load(); m != nil && (m.Trial < 0 || m.Trial >= ntrials || len(m.Set.Dims) != len(s.sets[m.Trial].Dims)) {
+		return nil, nil, fmt.Errorf("core: checkpoint model (trial %d, %d dims) does not fit the stream", m.Trial, len(m.Set.Dims))
+	}
 	return s, meta, nil
+}
+
+// checkTrialSet rejects a decoded set for trial t that is not congruent
+// with the one this stream builds itself: Refit sizes its segment tables
+// from the stream's own depth and projected dimensionality.
+func (s *Stream) checkTrialSet(t int, set *histogram.Set) error {
+	own := s.sets[t].Dims
+	if len(set.Dims) != len(own) {
+		return fmt.Errorf("set of %d dims, stream bins %d", len(set.Dims), len(own))
+	}
+	if set.Dims[0].Depth != own[0].Depth {
+		return fmt.Errorf("set at depth %d, stream bins at depth %d", set.Dims[0].Depth, own[0].Depth)
+	}
+	return nil
 }

@@ -56,11 +56,11 @@ func TestStreamCheckpointResume(t *testing.T) {
 	if restored.Seen() != live.Seen() {
 		t.Fatalf("seen %d vs %d", restored.Seen(), live.Seen())
 	}
-	if (restored.Model() == nil) != (live.Model() == nil) {
+	if (restored.Snapshot() == nil) != (live.Snapshot() == nil) {
 		t.Fatal("model presence mismatch")
 	}
-	if restored.Model() != nil && restored.Model().K() != live.Model().K() {
-		t.Fatalf("restored k %d vs %d", restored.Model().K(), live.Model().K())
+	if restored.Snapshot() != nil && restored.Snapshot().K() != live.Snapshot().K() {
+		t.Fatalf("restored k %d vs %d", restored.Snapshot().K(), live.Snapshot().K())
 	}
 	gotSecond := runStreamPoints(t, restored, spec, 800, 113)
 	if len(gotSecond) != len(refSecond) {
@@ -91,7 +91,7 @@ func TestStreamCheckpointStabilizedLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	runStreamPoints(t, st, spec, 6000, 122)
-	live := st.Model()
+	live := st.Snapshot()
 	if live == nil {
 		t.Fatal("no model after 6000 points")
 	}
@@ -103,7 +103,7 @@ func TestStreamCheckpointStabilizedLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := live.installedLabels(), restored.Model().installedLabels()
+	want, got := live.installedLabels(), restored.Snapshot().installedLabels()
 	if len(want) != len(got) {
 		t.Fatalf("cluster count %d vs %d", len(got), len(want))
 	}
@@ -118,7 +118,7 @@ func TestStreamCheckpointStabilizedLabels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := restored.Model().Assign(probe.Row(i))
+		b, err := restored.Snapshot().Assign(probe.Row(i))
 		if err != nil {
 			t.Fatal(err)
 		}

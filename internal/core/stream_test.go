@@ -40,7 +40,7 @@ func TestStreamWarmupThenLabels(t *testing.T) {
 	if st.Seen() != 6000 {
 		t.Fatalf("seen %d", st.Seen())
 	}
-	if st.Model() == nil {
+	if st.Snapshot() == nil {
 		t.Fatal("no model after stream")
 	}
 	// Evaluate only post-warmup points; drop the unlabeled noise share.
@@ -54,7 +54,7 @@ func TestStreamWarmupThenLabels(t *testing.T) {
 		t.Fatalf("only %d/%d streamed points labeled", labeled, len(pred))
 	}
 	_, _, f1 := eval.PrecisionRecallF1(pred, truth)
-	t.Logf("stream: k=%d f1=%.3f", st.Model().K(), f1)
+	t.Logf("stream: k=%d f1=%.3f", st.Snapshot().K(), f1)
 	if f1 < 0.5 {
 		t.Fatalf("stream f1 %.3f", f1)
 	}
@@ -89,7 +89,7 @@ func TestStreamWithRawRangesNoWarmup(t *testing.T) {
 			}
 		}
 	}
-	if st.Model() == nil {
+	if st.Snapshot() == nil {
 		t.Fatal("no model")
 	}
 	if float64(labeledAfterFirstRefit)/float64(total) < 0.7 {
@@ -115,13 +115,21 @@ func TestStreamValidation(t *testing.T) {
 	if err := st.Refit(); err != nil {
 		t.Fatal(err)
 	}
+	g, err := NewGlobalModelState(StreamConfig{Config: Config{Seed: 1}, Dims: 3,
+		RawRanges: fixedRanges(3, -1, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := mpi.Run(1, func(c *mpi.Comm) error {
-		if err := st.SyncDistributed(c); err == nil {
+		if _, err := g.Sync(c, st); err == nil {
 			t.Error("sync before warmup must fail")
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+	if g.Model() != nil || g.Seen() != 0 {
+		t.Fatalf("refused sync installed state: seen %d", g.Seen())
 	}
 }
 
@@ -131,13 +139,22 @@ func TestStreamDistributedSync(t *testing.T) {
 	type out struct {
 		k     int
 		trial int
+		model string
 	}
 	results, err := mpi.RunCollect(ranks, func(c *mpi.Comm) (out, error) {
-		st, err := NewStream(StreamConfig{Config: Config{Seed: 47}, Dims: 8, Warmup: 300, Period: 100000})
+		// Congruent histograms across ranks need fixed raw ranges; ranges
+		// derived from each rank's own warmup would differ.
+		cfg := StreamConfig{Config: Config{Seed: 47}, Dims: 8,
+			RawRanges: fixedRanges(8, -12, 12), Period: 100000}
+		st, err := NewStream(cfg)
 		if err != nil {
 			return out{}, err
 		}
-		src := spec.Stream(1500, xrand.New(int64(48+c.Rank())))
+		g, err := NewGlobalModelState(cfg)
+		if err != nil {
+			return out{}, err
+		}
+		src := spec.Stream(1500, xrand.New(int64(148+c.Rank())))
 		for {
 			x, _, ok := src.Next()
 			if !ok {
@@ -147,38 +164,28 @@ func TestStreamDistributedSync(t *testing.T) {
 				return out{}, err
 			}
 		}
-		// Ranges were derived from each rank's own warmup, so sets differ
-		// across ranks; SyncDistributed requires congruence. Rebuild the
-		// congruent case: use fixed raw ranges instead.
-		st2, err := NewStream(StreamConfig{Config: Config{Seed: 47}, Dims: 8,
-			RawRanges: fixedRanges(8, -12, 12), Period: 100000})
+		m, err := g.Sync(c, st)
 		if err != nil {
 			return out{}, err
 		}
-		src2 := spec.Stream(1500, xrand.New(int64(148+c.Rank())))
-		for {
-			x, _, ok := src2.Next()
-			if !ok {
-				break
-			}
-			if _, err := st2.Ingest(x); err != nil {
-				return out{}, err
-			}
+		if g.Seen() != 1500*ranks {
+			return out{}, fmt.Errorf("synced seen %d want %d", g.Seen(), 1500*ranks)
 		}
-		if err := st2.SyncDistributed(c); err != nil {
-			return out{}, err
+		if st.Seen() != 1500 {
+			return out{}, fmt.Errorf("local stream seen %d after sync, want its own 1500", st.Seen())
 		}
-		if st2.Seen() != 1500*ranks {
-			return out{}, fmt.Errorf("synced seen %d want %d", st2.Seen(), 1500*ranks)
+		if m != g.Model() {
+			return out{}, fmt.Errorf("Sync returned a model other than the published global model")
 		}
-		return out{k: st2.Model().K(), trial: st2.Model().Trial}, nil
+		return out{k: m.K(), trial: m.Trial, model: string(m.Encode())}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 1; r < ranks; r++ {
 		if results[r] != results[0] {
-			t.Fatalf("rank %d model differs: %+v vs %+v", r, results[r], results[0])
+			t.Fatalf("rank %d model differs: k=%d trial=%d vs k=%d trial=%d",
+				r, results[r].k, results[r].trial, results[0].k, results[0].trial)
 		}
 	}
 	if results[0].k < 2 {
@@ -202,8 +209,13 @@ func TestStreamRepeatedSyncsConserveMass(t *testing.T) {
 	const ranks = 3
 	const perPhase = 400
 	totals, err := mpi.RunCollect(ranks, func(c *mpi.Comm) ([]int, error) {
-		st, err := NewStream(StreamConfig{Config: Config{Seed: 101, Trials: 2}, Dims: 6,
-			RawRanges: fixedRanges(6, -12, 12), Period: 1 << 30})
+		cfg := StreamConfig{Config: Config{Seed: 101, Trials: 2}, Dims: 6,
+			RawRanges: fixedRanges(6, -12, 12), Period: 1 << 30}
+		st, err := NewStream(cfg)
+		if err != nil {
+			return nil, err
+		}
+		g, err := NewGlobalModelState(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -216,10 +228,10 @@ func TestStreamRepeatedSyncsConserveMass(t *testing.T) {
 					return nil, err
 				}
 			}
-			if err := st.SyncDistributed(c); err != nil {
+			if _, err := g.Sync(c, st); err != nil {
 				return nil, err
 			}
-			seenAtSync = append(seenAtSync, st.Seen())
+			seenAtSync = append(seenAtSync, g.Seen())
 		}
 		return seenAtSync, nil
 	})
@@ -245,8 +257,18 @@ func TestStreamSyncRejectsDecay(t *testing.T) {
 	if _, err := st.Ingest([]float64{0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
+	// Forgetting cannot be coordinated across ranks: neither a decaying
+	// global state nor a decaying local stream can take part in a sync.
+	if _, err := NewGlobalModelState(st.cfg); err == nil {
+		t.Fatal("global state with decay must be rejected")
+	}
+	g, err := NewGlobalModelState(StreamConfig{Config: Config{Seed: 1}, Dims: 3,
+		RawRanges: fixedRanges(3, -1, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	err = mpi.Run(1, func(c *mpi.Comm) error {
-		if err := st.SyncDistributed(c); err == nil {
+		if _, err := g.Sync(c, st); err == nil {
 			t.Error("sync with decay must be rejected")
 		}
 		return nil

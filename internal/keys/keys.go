@@ -63,8 +63,8 @@ func (k Key) String() string {
 	return strings.Join(parts, ".")
 }
 
-// Pack serializes the key into a compact byte string usable as a map key.
-func (k Key) Pack() string {
+// pack serializes the key into a compact byte string usable as a map key.
+func (k Key) pack() string {
 	buf := make([]byte, 4*len(k))
 	for j, b := range k {
 		binary.LittleEndian.PutUint32(buf[4*j:], b)
@@ -72,8 +72,8 @@ func (k Key) Pack() string {
 	return string(buf)
 }
 
-// Unpack parses a Pack()ed key.
-func Unpack(s string) (Key, error) {
+// unpack parses a pack()ed key.
+func unpack(s string) (Key, error) {
 	if len(s)%4 != 0 {
 		return nil, fmt.Errorf("keys: packed length %d not a multiple of 4", len(s))
 	}
@@ -141,7 +141,7 @@ func NewCounter(dims int) *Counter {
 }
 
 // Add increases the mass of key k by n.
-func (c *Counter) Add(k Key, n float64) { c.counts[k.Pack()] += n }
+func (c *Counter) Add(k Key, n float64) { c.counts[k.pack()] += n }
 
 // Len returns the number of distinct keys.
 func (c *Counter) Len() int { return len(c.counts) }
@@ -149,13 +149,13 @@ func (c *Counter) Len() int { return len(c.counts) }
 // Each visits every (key, mass) pair in unspecified order.
 func (c *Counter) Each(fn func(k Key, n float64)) {
 	for s, n := range c.counts {
-		k, _ := Unpack(s)
+		k, _ := unpack(s)
 		fn(k, n)
 	}
 }
 
 // Count returns the mass of key k.
-func (c *Counter) Count(k Key) float64 { return c.counts[k.Pack()] }
+func (c *Counter) Count(k Key) float64 { return c.counts[k.pack()] }
 
 // Decay scales every key's mass by factor in [0,1), dropping keys whose
 // mass becomes negligible — the sketch-side counterpart of histogram decay

@@ -59,7 +59,7 @@ func TestStringFormat(t *testing.T) {
 func TestPackUnpackRoundTrip(t *testing.T) {
 	f := func(raw []uint32) bool {
 		k := Key(raw)
-		got, err := Unpack(k.Pack())
+		got, err := unpack(k.pack())
 		if err != nil {
 			return false
 		}
@@ -68,7 +68,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Unpack("abc"); err == nil {
+	if _, err := unpack("abc"); err == nil {
 		t.Fatal("bad packed length must fail")
 	}
 }

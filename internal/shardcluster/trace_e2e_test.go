@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"keybin2/internal/client"
 	"keybin2/internal/linalg"
@@ -102,8 +103,13 @@ func TestIngestTraceSpansRouterAndShard(t *testing.T) {
 	}
 
 	// Shard hop: the owning shard's ingest pipeline trace shares the ID
-	// and is parented under the router's root span.
-	str := traceByID(fetchTraces(t, owner), ack.TraceID, "ingest_batch")
+	// and is parented under the router's root span. The shard's writer
+	// seals that trace after the apply, which can trail the 202, so wait
+	// for it to appear instead of racing it.
+	var str *obs.TraceJSON
+	for deadline := time.Now().Add(5 * time.Second); str == nil && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		str = traceByID(fetchTraces(t, owner), ack.TraceID, "ingest_batch")
+	}
 	if str == nil {
 		t.Fatalf("trace %s not on owning shard %s /trace", ack.TraceID, owner)
 	}
