@@ -72,21 +72,15 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
 	"keybin2/internal/core"
+	"keybin2/internal/daemon"
 	"keybin2/internal/obs"
 	"keybin2/internal/server"
 )
@@ -177,18 +171,9 @@ func buildConfig(o daemonOpts) (server.Config, error) {
 		DecayFactor: o.decay,
 	}
 	if o.rawRange != "" {
-		lohi := strings.SplitN(o.rawRange, ",", 2)
-		if len(lohi) != 2 {
-			return cfg, fmt.Errorf("-range wants 'lo,hi', got %q", o.rawRange)
-		}
-		lo, err1 := strconv.ParseFloat(strings.TrimSpace(lohi[0]), 64)
-		hi, err2 := strconv.ParseFloat(strings.TrimSpace(lohi[1]), 64)
-		if err1 != nil || err2 != nil || lo >= hi {
-			return cfg, fmt.Errorf("-range wants numeric lo < hi, got %q", o.rawRange)
-		}
-		ranges := make([][2]float64, o.dims)
-		for i := range ranges {
-			ranges[i] = [2]float64{lo, hi}
+		ranges, err := daemon.ParseRange(o.rawRange, o.dims)
+		if err != nil {
+			return cfg, err
 		}
 		sc.RawRanges = ranges
 	}
@@ -205,9 +190,6 @@ func buildConfig(o daemonOpts) (server.Config, error) {
 	if o.epoch < 0 {
 		return cfg, fmt.Errorf("-epoch must be ≥ 0 (got %d)", o.epoch)
 	}
-	if _, err := obs.ParseLevel(o.logLevel); err != nil {
-		return cfg, fmt.Errorf("bad flags: %w", err)
-	}
 	cfg = server.Config{
 		Stream:          sc,
 		QueueDepth:      o.queueDepth,
@@ -219,9 +201,6 @@ func buildConfig(o daemonOpts) (server.Config, error) {
 		Fsync:           o.fsync,
 		FsyncInterval:   o.fsyncEvery,
 		WALSegmentBytes: o.walSegment,
-		RunID:           obs.NewRunID(),
-		EnablePprof:     o.pprof,
-		Logf:            log.Printf,
 		FollowURL:       o.follow,
 		FollowPoll:      o.followPoll,
 		NodeID:          o.nodeID,
@@ -239,12 +218,11 @@ func run(o daemonOpts, stop <-chan struct{}, ready chan<- net.Addr) error {
 	if err != nil {
 		return err
 	}
-	lvl, _ := obs.ParseLevel(o.logLevel) // validated by buildConfig
-	logger := obs.NewLogger(os.Stderr, lvl, obs.KV("run_id", cfg.RunID))
-	cfg.Logf = logger.Logf
-
-	cfg.Tracer = obs.NewTracer(256)
-	cfg.Tracer.SetRunID(cfg.RunID)
+	t, err := daemon.NewTelemetry(o.logLevel, o.slowSpan, 256)
+	if err != nil {
+		return err
+	}
+	cfg.RunID, cfg.Logf, cfg.Tracer = t.RunID, t.Logger.Logf, t.Tracer
 	if o.traceLog != "" {
 		f, err := os.OpenFile(o.traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -253,61 +231,31 @@ func run(o daemonOpts, stop <-chan struct{}, ready chan<- net.Addr) error {
 		defer f.Close()
 		cfg.Tracer.SetLogSink(func(line []byte) { f.Write(line) })
 	}
-	if o.slowSpan > 0 {
-		cfg.Tracer.SetSlowSpanLog(o.slowSpan, logger)
-	}
 
 	srv, err := server.New(cfg)
 	if err != nil {
 		return err
 	}
-
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
-	}
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	srv.Start()
 	nodeID := o.nodeID
 	if nodeID == "" {
 		nodeID = cfg.RunID // the server's own fallback
 	}
-	logger.Info("listening",
-		obs.KV("addr", ln.Addr()), obs.KV("node_id", nodeID), obs.KV("shard", o.shard),
-		obs.KV("dims", o.dims), obs.KV("queue", o.queueDepth),
-		obs.KV("checkpoint", o.ckptPath), obs.KV("wal_dir", o.walDir), obs.KV("pprof", o.pprof))
-
-	httpErr := make(chan error, 1)
-	go func() { httpErr <- hs.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		logger.Info("draining", obs.KV("signal", s))
-	case <-stop:
-		logger.Info("draining", obs.KV("signal", "stop requested"))
-	case err := <-httpErr:
-		srv.Stop(context.Background())
-		return err
-	}
-
-	// Graceful order: stop the listener first so no handler can enqueue
-	// behind the drain, then drain the queue and write the final
-	// checkpoint.
-	ctx, cancel := context.WithTimeout(context.Background(), o.drainAfter)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	if err := srv.Stop(ctx); err != nil {
+	// Graceful order: the listener stops first so no handler can enqueue
+	// behind the drain, then srv.Stop drains the queue and writes the
+	// final checkpoint.
+	err = daemon.Serve(daemon.Service{
+		Addr: o.addr, Mux: srv.Handler(), Pprof: o.pprof, Logger: t.Logger,
+		Attrs: []obs.Attr{obs.KV("node_id", nodeID), obs.KV("shard", o.shard),
+			obs.KV("dims", o.dims), obs.KV("queue", o.queueDepth),
+			obs.KV("checkpoint", o.ckptPath), obs.KV("wal_dir", o.walDir)},
+		Stopping: "draining", Drain: o.drainAfter,
+		Start: srv.Start, Stop: srv.Stop,
+	}, stop, ready)
+	if err != nil {
 		return err
 	}
 	st := srv.Stats()
-	logger.Info("drained",
+	t.Logger.Info("drained",
 		obs.KV("seen", st.Seen), obs.KV("refits", st.Refits), obs.KV("checkpoints", st.Checkpoints))
 	return nil
 }

@@ -38,13 +38,11 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"keybin2/internal/daemon"
 	"keybin2/internal/failover"
 	"keybin2/internal/obs"
 )
@@ -104,9 +102,6 @@ func buildConfig(o supervisorOpts) (failover.Config, error) {
 	if o.jitter < 0 || o.jitter >= 1 {
 		return cfg, fmt.Errorf("-jitter wants a fraction in [0,1), got %g", o.jitter)
 	}
-	if _, err := obs.ParseLevel(o.logLevel); err != nil {
-		return cfg, fmt.Errorf("bad flags: %w", err)
-	}
 	cfg = failover.Config{
 		Nodes:        nodes,
 		ProbeEvery:   o.probeEvery,
@@ -116,8 +111,6 @@ func buildConfig(o supervisorOpts) (failover.Config, error) {
 		Jitter:       o.jitter,
 		Seed:         o.seed,
 		Registry:     obs.NewRegistry(),
-		RunID:        obs.NewRunID(),
-		EnablePprof:  o.pprof,
 	}
 	return cfg, nil
 }
@@ -130,57 +123,29 @@ func run(o supervisorOpts, stop <-chan struct{}, ready chan<- net.Addr) error {
 	if err != nil {
 		return err
 	}
-	lvl, _ := obs.ParseLevel(o.logLevel) // validated by buildConfig
-	logger := obs.NewLogger(os.Stderr, lvl, obs.KV("run_id", cfg.RunID))
-	cfg.Logf = logger.Logf
-	cfg.Tracer = obs.NewTracer(128)
-	cfg.Tracer.SetRunID(cfg.RunID)
-	if o.slowSpan > 0 {
-		cfg.Tracer.SetSlowSpanLog(o.slowSpan, logger)
+	t, err := daemon.NewTelemetry(o.logLevel, o.slowSpan, 128)
+	if err != nil {
+		return err
 	}
+	cfg.RunID, cfg.Logf, cfg.Tracer = t.RunID, t.Logger.Logf, t.Tracer
 
 	sup, err := failover.New(cfg)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", o.addr)
+	err = daemon.Serve(daemon.Service{
+		Addr: o.addr, Mux: sup.Handler(), Pprof: o.pprof, Logger: t.Logger,
+		Attrs: []obs.Attr{obs.KV("role", "failover-supervisor"),
+			obs.KV("nodes", len(cfg.Nodes)), obs.KV("probe_every", o.probeEvery),
+			obs.KV("fail_after", o.failAfter), obs.KV("recover_after", o.recoverAfter)},
+		Stopping: "stopping", Drain: 10 * time.Second,
+		Start: sup.Start, Stop: func(context.Context) error { sup.Stop(); return nil },
+	}, stop, ready)
 	if err != nil {
 		return err
 	}
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-	hs := &http.Server{Handler: sup.Handler()}
-	sup.Start()
-	logger.Info("listening",
-		obs.KV("addr", ln.Addr()), obs.KV("role", "failover-supervisor"),
-		obs.KV("nodes", len(cfg.Nodes)), obs.KV("probe_every", o.probeEvery),
-		obs.KV("fail_after", o.failAfter), obs.KV("recover_after", o.recoverAfter),
-		obs.KV("pprof", o.pprof))
-
-	httpErr := make(chan error, 1)
-	go func() { httpErr <- hs.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		logger.Info("stopping", obs.KV("signal", s))
-	case <-stop:
-		logger.Info("stopping", obs.KV("signal", "stop requested"))
-	case err := <-httpErr:
-		sup.Stop()
-		return err
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	sup.Stop()
 	st := sup.Status()
-	logger.Info("stopped",
+	t.Logger.Info("stopped",
 		obs.KV("cluster_epoch", st.ClusterEpoch), obs.KV("primary", st.Primary),
 		obs.KV("elections", st.Elections), obs.KV("fences", st.Fences))
 	return nil

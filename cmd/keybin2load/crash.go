@@ -126,20 +126,14 @@ func startNode(daemon string, logW *os.File, args ...string) (*daemonProc, error
 	return dp, nil
 }
 
-// listenAddr extracts the daemon's bound address from its startup log
-// line. It understands both the structured form (msg=listening
-// addr=127.0.0.1:7420) and the legacy "listening on ADDR" prose.
+// listenAddr extracts the daemon's bound address from its structured
+// startup line (msg=listening addr=127.0.0.1:7420); "" for any other line.
 func listenAddr(line string) string {
 	if strings.Contains(line, "msg=listening") {
 		for _, f := range strings.Fields(line) {
 			if a, ok := strings.CutPrefix(f, "addr="); ok {
 				return strings.Trim(a, `"`)
 			}
-		}
-	}
-	if i := strings.Index(line, "listening on "); i >= 0 {
-		if f := strings.Fields(line[i+len("listening on "):]); len(f) > 0 {
-			return f[0]
 		}
 	}
 	return ""

@@ -53,15 +53,12 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"keybin2/internal/core"
+	"keybin2/internal/daemon"
 	"keybin2/internal/obs"
 	"keybin2/internal/shardcluster"
 )
@@ -126,21 +123,9 @@ func buildConfig(o routerOpts) (shardcluster.Config, error) {
 	if o.rawRange == "" {
 		return cfg, fmt.Errorf("-range is required: predetermined bounds are what make shard histograms congruent and the merge exact")
 	}
-	lohi := strings.SplitN(o.rawRange, ",", 2)
-	if len(lohi) != 2 {
-		return cfg, fmt.Errorf("-range wants 'lo,hi', got %q", o.rawRange)
-	}
-	lo, err1 := strconv.ParseFloat(strings.TrimSpace(lohi[0]), 64)
-	hi, err2 := strconv.ParseFloat(strings.TrimSpace(lohi[1]), 64)
-	if err1 != nil || err2 != nil || lo >= hi {
-		return cfg, fmt.Errorf("-range wants numeric lo < hi, got %q", o.rawRange)
-	}
-	ranges := make([][2]float64, o.dims)
-	for i := range ranges {
-		ranges[i] = [2]float64{lo, hi}
-	}
-	if _, err := obs.ParseLevel(o.logLevel); err != nil {
-		return cfg, fmt.Errorf("bad flags: %w", err)
+	ranges, err := daemon.ParseRange(o.rawRange, o.dims)
+	if err != nil {
+		return cfg, err
 	}
 	if o.failAfter < 1 || o.recoverAfter < 1 {
 		return cfg, fmt.Errorf("-fail-after and -recover-after must be ≥ 1 (got %d/%d)", o.failAfter, o.recoverAfter)
@@ -169,8 +154,6 @@ func buildConfig(o routerOpts) (shardcluster.Config, error) {
 		RecoverThreshold: o.recoverAfter,
 		ProbeJitter:      o.probeJitter,
 		ShardTimeout:     o.shardTimeout,
-		RunID:            obs.NewRunID(),
-		EnablePprof:      o.pprof,
 	}
 	return cfg, nil
 }
@@ -182,58 +165,31 @@ func run(o routerOpts, stop <-chan struct{}, ready chan<- net.Addr) error {
 	if err != nil {
 		return err
 	}
-	lvl, _ := obs.ParseLevel(o.logLevel) // validated by buildConfig
+	t, err := daemon.NewTelemetry(o.logLevel, o.slowSpan, 256)
+	if err != nil {
+		return err
+	}
+	cfg.RunID, cfg.Logf, cfg.Tracer = t.RunID, t.Logger.Logf, t.Tracer
 	nodeID := o.nodeID
 	if nodeID == "" {
 		nodeID = cfg.RunID
-	}
-	logger := obs.NewLogger(os.Stderr, lvl, obs.KV("run_id", cfg.RunID))
-	cfg.Logf = logger.Logf
-	cfg.Tracer = obs.NewTracer(256)
-	cfg.Tracer.SetRunID(cfg.RunID)
-	if o.slowSpan > 0 {
-		cfg.Tracer.SetSlowSpanLog(o.slowSpan, logger)
 	}
 
 	r, err := shardcluster.New(cfg)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", o.addr)
+	err = daemon.Serve(daemon.Service{
+		Addr: o.addr, Mux: r.Handler(), Pprof: o.pprof, Logger: t.Logger,
+		Attrs: []obs.Attr{obs.KV("node_id", nodeID), obs.KV("role", "router"),
+			obs.KV("shards", len(cfg.Shards)), obs.KV("vnodes", cfg.VNodes),
+			obs.KV("merge_every", o.mergeEvery)},
+		Stopping: "stopping", Drain: 10 * time.Second,
+		Start: r.Start, Stop: func(context.Context) error { r.Stop(); return nil },
+	}, stop, ready)
 	if err != nil {
 		return err
 	}
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-	hs := &http.Server{Handler: r.Handler()}
-	r.Start()
-	logger.Info("listening",
-		obs.KV("addr", ln.Addr()), obs.KV("node_id", nodeID), obs.KV("role", "router"),
-		obs.KV("shards", len(cfg.Shards)), obs.KV("vnodes", cfg.VNodes),
-		obs.KV("merge_every", o.mergeEvery), obs.KV("pprof", o.pprof))
-
-	httpErr := make(chan error, 1)
-	go func() { httpErr <- hs.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		logger.Info("stopping", obs.KV("signal", s))
-	case <-stop:
-		logger.Info("stopping", obs.KV("signal", "stop requested"))
-	case err := <-httpErr:
-		r.Stop()
-		return err
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	r.Stop()
-	logger.Info("stopped", obs.KV("merge_epoch", r.Epoch()))
+	t.Logger.Info("stopped", obs.KV("merge_epoch", r.Epoch()))
 	return nil
 }

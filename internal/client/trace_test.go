@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"keybin2/internal/core"
 	"keybin2/internal/linalg"
@@ -130,16 +131,26 @@ func TestIngestTraceJoinsDaemon(t *testing.T) {
 		t.Fatal("ack carries no trace id")
 	}
 
-	resp, err := http.Get(ts.URL + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	traces := decodeTraces(t, resp.Body)
+	// The writer seals the trace after the apply, which may follow the
+	// 202, so poll /trace until it shows up.
+	var traces []obs.TraceJSON
 	found := false
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(ts.URL + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = decodeTraces(t, resp.Body)
+		resp.Body.Close()
+		for _, tr := range traces {
+			found = found || tr.TraceID == ack.TraceID
+		}
+		if found || time.Now().After(deadline) {
+			break
+		}
+	}
 	for _, tr := range traces {
 		if tr.TraceID == ack.TraceID {
-			found = true
 			if tr.ParentID == "" {
 				t.Errorf("daemon trace %s has no parent span (should link to the client's)", tr.TraceID)
 			}

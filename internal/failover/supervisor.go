@@ -5,15 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/pprof"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"keybin2/internal/client"
+	"keybin2/internal/daemon"
 	"keybin2/internal/obs"
 	"keybin2/internal/server"
 	"keybin2/internal/xrand"
@@ -91,8 +90,6 @@ type Config struct {
 	Tracer *obs.Tracer
 	// RunID identifies this supervisor incarnation (default: minted).
 	RunID string
-	// EnablePprof mounts net/http/pprof under GET /debug/pprof/.
-	EnablePprof bool
 	// Seed fixes the jitter stream (default 1).
 	Seed int64
 }
@@ -552,38 +549,18 @@ func (s *Supervisor) Status() Status {
 //	GET /healthz → 200 "ok"
 //	GET /metrics → Prometheus text exposition
 //	GET /trace   → recent probe-round traces
-//	GET /debug/pprof/* → net/http/pprof (only with Config.EnablePprof)
-func (s *Supervisor) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/status", getOnly(func(w http.ResponseWriter, r *http.Request) {
+//
+// GET /healthz, /metrics and /trace come from daemon.NewMux; every route
+// is a method pattern, so the mux answers a wrong method with 405 and an
+// Allow header. Callers may register more routes on the returned mux
+// (keybin2failover mounts pprof there).
+func (s *Supervisor) Handler() *http.ServeMux {
+	mux := daemon.NewMux(s.cfg.Registry, s.tracer)
+	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(s.Status())
-	}))
-	mux.HandleFunc("/healthz", getOnly(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok\n")
-	}))
-	mux.Handle("/metrics", s.cfg.Registry.Handler())
-	mux.Handle("/trace", s.tracer.Handler())
-	if s.cfg.EnablePprof {
-		mux.HandleFunc("/debug/pprof/", getOnly(pprof.Index))
-		mux.HandleFunc("/debug/pprof/cmdline", getOnly(pprof.Cmdline))
-		mux.HandleFunc("/debug/pprof/profile", getOnly(pprof.Profile))
-		mux.HandleFunc("/debug/pprof/symbol", getOnly(pprof.Symbol))
-		mux.HandleFunc("/debug/pprof/trace", getOnly(pprof.Trace))
-	}
+	})
 	return mux
-}
-
-// getOnly rejects anything but GET/HEAD with a 405 carrying Allow.
-func getOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET")
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		h(w, r)
-	}
 }
 
 // supTelemetry bundles the supervisor's instruments. Event counters are

@@ -335,14 +335,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Handler serves GET /metrics; any other method gets 405.
+// Handler serves the Prometheus text exposition. It answers any method;
+// callers mount it as "GET /metrics" so the mux refuses the rest.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET")
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
 	})

@@ -361,15 +361,10 @@ func (t *Tracer) Snapshot() []TraceJSON {
 	return out
 }
 
-// Handler serves GET /trace: {"traces":[...]} newest first. Any other
-// method gets 405.
+// Handler serves {"traces":[...]} newest first. It answers any method;
+// callers mount it as "GET /trace" so the mux refuses the rest.
 func (t *Tracer) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET")
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
 		snap := t.Snapshot()
 		// Newest first: the interesting trace is usually the latest.
 		for i, j := 0, len(snap)-1; i < j; i, j = i+1, j-1 {

@@ -190,11 +190,6 @@ func (s *Server) roleRequest(ch chan *roleReq, req *roleReq, r *http.Request) (r
 // primary. Fencing the unfenced primary at its OWN epoch is refused
 // (409): that node is the epoch's legitimate owner.
 func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	epoch, err := strconv.ParseInt(r.URL.Query().Get("epoch"), 10, 64)
 	if err != nil || epoch < 1 {
 		http.Error(w, "fence requires epoch=N (N >= 1)", http.StatusBadRequest)
@@ -249,11 +244,6 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 // its recorded epoch). A follower refuses — its epoch arrives through
 // /fence, /promote, or the WAL tail.
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	epoch, err := strconv.ParseInt(r.URL.Query().Get("epoch"), 10, 64)
 	if err != nil || epoch < 1 {
 		http.Error(w, "epoch requires epoch=N (N >= 1)", http.StatusBadRequest)

@@ -207,12 +207,11 @@ func hasAll(got, want []string) bool {
 }
 
 // TestMethodNotAllowed pins the 405 contract for every endpoint: read
-// endpoints refuse writes (Allow: GET), write endpoints refuse reads
-// (Allow: POST), and pprof — when enabled — is GET-only too.
+// endpoints refuse writes (Allow: GET, HEAD) and write endpoints refuse
+// reads (Allow: POST). The pprof routes are covered in internal/daemon.
 func TestMethodNotAllowed(t *testing.T) {
 	srv, err := server.New(server.Config{
-		Stream:      testStreamConfig(3),
-		EnablePprof: true,
+		Stream: testStreamConfig(3),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,14 +222,13 @@ func TestMethodNotAllowed(t *testing.T) {
 	cases := []struct {
 		method, path, allow string
 	}{
-		{http.MethodPost, "/stats", "GET"},
-		{http.MethodPost, "/metrics", "GET"},
-		{http.MethodPost, "/trace", "GET"},
-		{http.MethodPost, "/model", "GET"},
-		{http.MethodPost, "/healthz", "GET"},
-		{http.MethodPost, "/readyz", "GET"},
-		{http.MethodPost, "/debug/pprof/", "GET"},
-		{http.MethodDelete, "/metrics", "GET"},
+		{http.MethodPost, "/stats", "GET, HEAD"},
+		{http.MethodPost, "/metrics", "GET, HEAD"},
+		{http.MethodPost, "/trace", "GET, HEAD"},
+		{http.MethodPost, "/model", "GET, HEAD"},
+		{http.MethodPost, "/healthz", "GET, HEAD"},
+		{http.MethodPost, "/readyz", "GET, HEAD"},
+		{http.MethodDelete, "/metrics", "GET, HEAD"},
 		{http.MethodGet, "/ingest", "POST"},
 		{http.MethodGet, "/label", "POST"},
 	}
@@ -249,31 +247,5 @@ func TestMethodNotAllowed(t *testing.T) {
 				t.Fatalf("%s %s: Allow %q, want %q", tc.method, tc.path, got, tc.allow)
 			}
 		})
-	}
-
-	// The happy path still answers: pprof index on GET.
-	resp, err := http.Get(ts.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /debug/pprof/ status %d, want 200", resp.StatusCode)
-	}
-
-	// And stays absent when not enabled.
-	srv2, err := server.New(server.Config{Stream: testStreamConfig(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	resp, err = http.Get(ts2.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /debug/pprof/ without -pprof: status %d, want 404", resp.StatusCode)
 	}
 }

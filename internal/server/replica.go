@@ -359,11 +359,6 @@ func (s *Server) promote(epoch int64) error {
 // current+1. A node that is already a primary answers 409, as does a
 // stale epoch — both leave the node untouched.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	var epoch int64
 	if v := r.URL.Query().Get("epoch"); v != "" {
 		var err error
@@ -412,11 +407,6 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 // misdirection from the producer instead of surfacing it as a typed
 // error.
 func (s *Server) rejectFollowerIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	primary := s.primaryHint()
 	w.Header().Set("X-KB2-Primary", primary)
 	if e := s.clusterEpoch.Load(); e > 0 {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"strconv"
 	"sync"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"keybin2/internal/core"
+	"keybin2/internal/daemon"
 	"keybin2/internal/obs"
 )
 
@@ -78,8 +78,6 @@ type Config struct {
 	// Shard names this node's shard assignment in a sharded cluster
 	// (reported in /stats and the startup identity; empty standalone).
 	Shard string
-	// EnablePprof mounts net/http/pprof under GET /debug/pprof/.
-	EnablePprof bool
 
 	// FollowURL, when set, runs this daemon as a follower replica: it
 	// tails the primary's WAL at the given base URL (GET /wal), replays
@@ -847,41 +845,30 @@ func (s *Server) replicaLagSeconds() float64 {
 //	               (supervisor adoption); 409 on a follower
 //	GET  /hist    → cumulative shard histogram state (merge collective)
 //	POST /hist/install?epoch=N → install the merged global model
-//	GET  /debug/pprof/* → net/http/pprof (only with Config.EnablePprof)
 //
-// Read endpoints answer GET (and HEAD) only; write endpoints answer POST
-// only; anything else is 405 with an Allow header.
+// GET /healthz, /metrics and /trace come from daemon.NewMux. Every route
+// is a method pattern: reads answer GET and HEAD, writes answer POST, and
+// the mux refuses anything else with 405 and an Allow header. Callers may
+// register more routes on the returned mux (keybin2d mounts pprof there).
 //
 // Ingest requests may carry X-Producer and X-Batch-Seq headers; a batch
 // whose producer sequence was already acknowledged is re-acked as a
 // duplicate without being applied, making retries after a lost ack
 // idempotent.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/ingest", s.instrument("ingest", s.handleIngest))
-	mux.HandleFunc("/label", s.instrument("label", s.handleLabel))
-	mux.HandleFunc("/model", s.instrument("model", getOnly(s.handleModel)))
-	mux.HandleFunc("/stats", s.instrument("stats", getOnly(s.handleStats)))
-	mux.Handle("/metrics", s.cfg.Registry.Handler())
-	mux.Handle("/trace", s.tracer.Handler())
-	mux.HandleFunc("/healthz", getOnly(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok\n")
-	}))
-	mux.HandleFunc("/readyz", getOnly(s.handleReady))
-	mux.HandleFunc("/wal", getOnly(s.handleWALTail))
-	mux.HandleFunc("/snapshot", getOnly(s.handleSnapshot))
-	mux.HandleFunc("/promote", s.handlePromote)
-	mux.HandleFunc("/fence", s.handleFence)
-	mux.HandleFunc("/epoch", s.handleEpoch)
-	mux.HandleFunc("/hist", s.instrument("hist", getOnly(s.handleHist)))
-	mux.HandleFunc("/hist/install", s.instrument("hist_install", s.handleHistInstall))
-	if s.cfg.EnablePprof {
-		mux.HandleFunc("/debug/pprof/", getOnly(pprof.Index))
-		mux.HandleFunc("/debug/pprof/cmdline", getOnly(pprof.Cmdline))
-		mux.HandleFunc("/debug/pprof/profile", getOnly(pprof.Profile))
-		mux.HandleFunc("/debug/pprof/symbol", getOnly(pprof.Symbol))
-		mux.HandleFunc("/debug/pprof/trace", getOnly(pprof.Trace))
-	}
+func (s *Server) Handler() *http.ServeMux {
+	mux := daemon.NewMux(s.cfg.Registry, s.tracer)
+	mux.HandleFunc("POST /ingest", s.instrument("ingest", s.handleIngest))
+	mux.HandleFunc("POST /label", s.instrument("label", s.handleLabel))
+	mux.HandleFunc("GET /model", s.instrument("model", s.handleModel))
+	mux.HandleFunc("GET /stats", s.instrument("stats", s.handleStats))
+	mux.HandleFunc("GET /readyz", s.handleReady)
+	mux.HandleFunc("GET /wal", s.handleWALTail)
+	mux.HandleFunc("GET /snapshot", s.handleSnapshot)
+	mux.HandleFunc("POST /promote", s.handlePromote)
+	mux.HandleFunc("POST /fence", s.handleFence)
+	mux.HandleFunc("POST /epoch", s.handleEpoch)
+	mux.HandleFunc("GET /hist", s.instrument("hist", s.handleHist))
+	mux.HandleFunc("POST /hist/install", s.instrument("hist_install", s.handleHistInstall))
 	return mux
 }
 
@@ -892,18 +879,6 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		start := time.Now()
 		h(w, r)
 		hist.Observe(time.Since(start).Seconds())
-	}
-}
-
-// getOnly rejects every method except GET and HEAD with 405.
-func getOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET")
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		h(w, r)
 	}
 }
 
@@ -940,11 +915,6 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // the ingest path hands that duty to the writer goroutine. A nil return
 // means the response was already written.
 func (s *Server) readBatch(w http.ResponseWriter, r *http.Request) *Batch {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return nil
-	}
 	limit := int64(batchHeaderSize + 8*s.cfg.MaxBatchPoints*s.cfg.Stream.Dims)
 	if r.ContentLength > limit {
 		http.Error(w, fmt.Sprintf("%v: body is %d bytes, limit %d", ErrBatchTooLarge, r.ContentLength, limit),

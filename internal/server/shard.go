@@ -107,11 +107,6 @@ func (s *Server) handleHist(w http.ResponseWriter, r *http.Request) {
 // 409 so the newest model always wins. ?seen=N is the merged point count
 // behind the model, reported in /stats.
 func (s *Server) handleHistInstall(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	epoch, err := strconv.ParseInt(r.URL.Query().Get("epoch"), 10, 64)
 	if err != nil || epoch <= 0 {
 		http.Error(w, "install needs ?epoch=N (N ≥ 1)", http.StatusBadRequest)

@@ -7,9 +7,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 
+	"keybin2/internal/daemon"
 	"keybin2/internal/obs"
 	"keybin2/internal/server"
 )
@@ -25,46 +25,25 @@ import (
 //	GET  /trace   → recent distributed traces (proxy hops, merge epochs)
 //	GET  /healthz → 200 (router liveness)
 //	GET  /readyz  → 200 when ≥ 1 shard is up, else 503
-//	GET  /debug/pprof/* → net/http/pprof (only with Config.EnablePprof)
+//
+// GET /healthz, /metrics and /trace come from daemon.NewMux; every route
+// is a method pattern, so the mux answers a wrong method with 405 and an
+// Allow header. Callers may register more routes on the returned mux
+// (keybin2router mounts pprof there).
 //
 // Ingest routing: the X-Producer header (the same idempotency identity
 // the daemon dedupes on) hashes onto the ring, so one producer's batches
 // always land on one shard — which is what keeps the daemon's per-producer
 // sequence dedupe exact under retries. Untagged batches round-robin.
-func (r *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/ingest", r.handleIngest)
-	mux.HandleFunc("/label", r.handleLabel)
-	mux.HandleFunc("/stats", r.handleStats)
-	mux.HandleFunc("/ring", r.handleRing)
-	mux.HandleFunc("/merge", r.handleMerge)
-	mux.Handle("/metrics", r.cfg.Registry.Handler())
-	mux.Handle("/trace", r.tracer.Handler())
-	mux.HandleFunc("/healthz", getOnly(func(w http.ResponseWriter, req *http.Request) {
-		io.WriteString(w, "ok\n")
-	}))
-	mux.HandleFunc("/readyz", getOnly(r.handleReady))
-	if r.cfg.EnablePprof {
-		mux.HandleFunc("/debug/pprof/", getOnly(pprof.Index))
-		mux.HandleFunc("/debug/pprof/cmdline", getOnly(pprof.Cmdline))
-		mux.HandleFunc("/debug/pprof/profile", getOnly(pprof.Profile))
-		mux.HandleFunc("/debug/pprof/symbol", getOnly(pprof.Symbol))
-		mux.HandleFunc("/debug/pprof/trace", getOnly(pprof.Trace))
-	}
+func (r *Router) Handler() *http.ServeMux {
+	mux := daemon.NewMux(r.cfg.Registry, r.tracer)
+	mux.HandleFunc("POST /ingest", r.handleIngest)
+	mux.HandleFunc("POST /label", r.handleLabel)
+	mux.HandleFunc("GET /stats", r.handleStats)
+	mux.HandleFunc("GET /ring", r.handleRing)
+	mux.HandleFunc("POST /merge", r.handleMerge)
+	mux.HandleFunc("GET /readyz", r.handleReady)
 	return mux
-}
-
-// getOnly rejects anything but GET/HEAD with a 405 carrying Allow —
-// read-only endpoints must say so instead of silently accepting writes.
-func getOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET")
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		h(w, req)
-	}
 }
 
 // batchPoints parses the point count out of a KB2B batch header (count
@@ -127,11 +106,6 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, sh *shard, path
 }
 
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	body, err := io.ReadAll(io.LimitReader(req.Body, r.cfg.MaxBodyBytes+1))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -184,11 +158,6 @@ func (r *Router) startLinked(req *http.Request, name string, attrs ...obs.Attr) 
 }
 
 func (r *Router) handleLabel(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	body, err := io.ReadAll(io.LimitReader(req.Body, r.cfg.MaxBodyBytes+1))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -323,11 +292,6 @@ func (r *Router) Stats(ctx context.Context) ClusterStats {
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet && req.Method != http.MethodHead {
-		w.Header().Set("Allow", "GET")
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(r.Stats(req.Context()))
 }
@@ -341,11 +305,6 @@ type ringInfo struct {
 }
 
 func (r *Router) handleRing(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet && req.Method != http.MethodHead {
-		w.Header().Set("Allow", "GET")
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
 	info := ringInfo{
 		VNodes:    r.cfg.VNodes,
 		Ownership: r.ring.Ownership(r.isUp),
@@ -360,11 +319,6 @@ func (r *Router) handleRing(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleMerge(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	res, err := r.MergeOnce(req.Context())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)

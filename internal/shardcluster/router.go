@@ -60,8 +60,6 @@ type Config struct {
 	// Tracer records distributed traces — proxied ingest/label hops and
 	// merge epochs — and backs GET /trace (default: fresh, capacity 256).
 	Tracer *obs.Tracer
-	// EnablePprof mounts net/http/pprof under GET /debug/pprof/.
-	EnablePprof bool
 	// Logf receives operational log lines.
 	Logf func(format string, args ...any)
 	// RunID identifies this router incarnation (default: minted).
